@@ -39,9 +39,12 @@
 //! recorder round does the same for the violation-forensics ring buffer:
 //! record-on deterministic totals must be bit-identical to the default
 //! record-off run (the recorder only observes), and the recorder-on cost
-//! is recorded beside the attr cost. Every run appends one
-//! schema-versioned line to `reports/bench_history.jsonl` — the
-//! trajectory log that `rsti report` diffs and CI's regression check
+//! is recorded beside the attr cost. Both rounds run under both engines:
+//! the compiled engine observes through block counters on its pre-charged
+//! fast path, and `compiled_attr_cost_pct`/`compiled_record_cost_pct`
+//! record what that costs against the unarmed compiled mix. Every run
+//! appends one schema-versioned line to `reports/bench_history.jsonl` —
+//! the trajectory log that `rsti report` diffs and CI's regression check
 //! reads.
 
 use rsti_core::{Mechanism, OptLevel};
@@ -197,6 +200,11 @@ fn main() {
         .into_iter()
         .map(Image::with_record)
         .collect();
+    let cattr_imgs = build_imgs(OptLevel::Cfg, ExecBackend::Compiled, true);
+    let crec_imgs: Vec<Image> = build_imgs(OptLevel::Cfg, ExecBackend::Compiled, false)
+        .into_iter()
+        .map(Image::with_record)
+        .collect();
     let n = interp_imgs.len();
     let mut scratch = vec![f64::INFINITY; n];
     let mut sink = MixResult::default();
@@ -210,12 +218,16 @@ fn main() {
     let mut ct = MixResult::default();
     let mut a = MixResult::default();
     let mut rr = MixResult::default();
+    let mut ca = MixResult::default();
+    let mut cr = MixResult::default();
     let mut bm = vec![f64::INFINITY; n];
     let mut bt = vec![f64::INFINITY; n];
     let mut bc = vec![f64::INFINITY; n];
     let mut bct = vec![f64::INFINITY; n];
     let mut ba = vec![f64::INFINITY; n];
     let mut brr = vec![f64::INFINITY; n];
+    let mut bca = vec![f64::INFINITY; n];
+    let mut bcr = vec![f64::INFINITY; n];
     for round in 0..10 {
         let first = round == 0;
         for i in 0..n {
@@ -230,6 +242,8 @@ fn main() {
             tel.disable();
             time_one(&attr_imgs[i], i, &mut ba, &mut a, first);
             time_one(&rec_imgs[i], i, &mut brr, &mut rr, first);
+            time_one(&cattr_imgs[i], i, &mut bca, &mut ca, first);
+            time_one(&crec_imgs[i], i, &mut bcr, &mut cr, first);
         }
     }
     tel.disable();
@@ -240,6 +254,8 @@ fn main() {
     ct.secs = bct.iter().sum();
     a.secs = ba.iter().sum();
     rr.secs = brr.iter().sum();
+    ca.secs = bca.iter().sum();
+    cr.secs = bcr.iter().sum();
     assert_mix_parity(&m, &c, "headline mix");
     // The profiler's inertness guarantee, asserted on the real mix: with
     // attribution on, every deterministic total is bit-identical to the
@@ -249,6 +265,10 @@ fn main() {
     // it changes no deterministic total, so the default record-off
     // trajectory numbers are what a never-armed build would produce.
     assert_mix_parity(&m, &rr, "record-on mix (inertness)");
+    // The compiled engine observes on its fast path, through block
+    // counters: the armed totals must equal the unarmed compiled mix.
+    assert_mix_parity(&c, &ca, "compiled attr-on mix (inertness)");
+    assert_mix_parity(&c, &cr, "compiled record-on mix (inertness)");
     let ips = m.ips();
     let speedup = ips / PRE_CHANGE_INSTS_PER_SEC;
     let ips_on = t.ips();
@@ -261,6 +281,8 @@ fn main() {
     let attr_delta_pct = (ips / aips - 1.0) * 100.0;
     let rips = rr.ips();
     let record_delta_pct = (ips / rips - 1.0) * 100.0;
+    let cattr_delta_pct = (cips / ca.ips() - 1.0) * 100.0;
+    let crecord_delta_pct = (cips / cr.ips() - 1.0) * 100.0;
 
     println!("vm_throughput: nbench + NGINX mix, baseline + STWC");
     println!("  instructions executed : {} (one mix pass)", m.insts);
@@ -273,6 +295,14 @@ fn main() {
     println!("  compiled tel-on i/s   : {cips_on:.0}  (enabled costs {con_delta_pct:+.2}%)");
     println!("  attr-on insts/s       : {aips:.0}  (profiler costs {attr_delta_pct:+.2}%, interp)");
     println!("  record-on insts/s     : {rips:.0}  (recorder costs {record_delta_pct:+.2}%, interp)");
+    println!(
+        "  compiled attr-on i/s  : {:.0}  (profiler costs {cattr_delta_pct:+.2}%, compiled)",
+        ca.ips()
+    );
+    println!(
+        "  compiled rec-on i/s   : {:.0}  (recorder costs {crecord_delta_pct:+.2}%, compiled)",
+        cr.ips()
+    );
 
     // The serve-cache amortization headline: one request, cold vs warm.
     let (serve_cold_ms, serve_warm_ms, serve_speedup) = measure_serve();
@@ -349,6 +379,8 @@ fn main() {
          \"attr_cost_pct\": {attr_delta_pct:.2},\n  \
          \"record_on_insts_per_sec\": {rips:.0},\n  \
          \"record_cost_pct\": {record_delta_pct:.2},\n  \
+         \"compiled_attr_cost_pct\": {cattr_delta_pct:.2},\n  \
+         \"compiled_record_cost_pct\": {crecord_delta_pct:.2},\n  \
          \"serve_cold_ms\": {serve_cold_ms:.3},\n  \
          \"serve_warm_ms\": {serve_warm_ms:.4},\n  \
          \"serve_warm_speedup\": {serve_speedup:.1},\n  \
@@ -373,6 +405,8 @@ fn main() {
          \"compiled_telemetry_cost_pct\": {con_delta_pct:.2}, \
          \"attr_on_insts_per_sec\": {aips:.0}, \"attr_cost_pct\": {attr_delta_pct:.2}, \
          \"record_cost_pct\": {record_delta_pct:.2}, \
+         \"compiled_attr_cost_pct\": {cattr_delta_pct:.2}, \
+         \"compiled_record_cost_pct\": {crecord_delta_pct:.2}, \
          \"serve_warm_speedup\": {serve_speedup:.1}, \
          \"instructions\": {}, \"cycle_model_total\": {}, \"pac_auths\": {}}}\n",
         m.insts, m.cycles, m.pac_auths

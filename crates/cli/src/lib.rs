@@ -1059,6 +1059,17 @@ fn dispatch(args: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that switch the process-wide telemetry
+    /// collector on with the fuzz smoke tests. Each VM snapshots the
+    /// collector's flag when it is built, so a collector switched on
+    /// between the oracle's interpreter and compiled runs gives the two
+    /// VMs different opcode-class settings and a spurious divergence.
+    fn telemetry_lock() -> MutexGuard<'static, ()> {
+        static TELEMETRY: Mutex<()> = Mutex::new(());
+        TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn write_temp(name: &str, content: &str) -> String {
         let path = std::env::temp_dir().join(name);
@@ -1257,6 +1268,7 @@ mod tests {
 
     #[test]
     fn profile_reports_split_elision_counters() {
+        let _telemetry = telemetry_lock();
         let f = write_temp("rsti_cli_prof_opt.mc", OPT_RICH_PROG);
         let (code, out) = run_cli(&[
             "profile".into(),
@@ -1302,6 +1314,7 @@ mod tests {
 
     #[test]
     fn profile_reports_interprocedural_counters() {
+        let _telemetry = telemetry_lock();
         let f = write_temp("rsti_cli_prof_ipo.mc", IPO_RICH_PROG);
         let (code, out) = run_cli(&[
             "profile".into(),
@@ -1348,6 +1361,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_is_clean_and_exits_zero() {
+        let _telemetry = telemetry_lock();
         let (code, out) = run_cli(&["fuzz".into(), "--seeds".into(), "2".into()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("2 seed(s)"), "{out}");
@@ -1449,6 +1463,7 @@ mod tests {
 
     #[test]
     fn profile_prints_phase_and_counter_tables() {
+        let _telemetry = telemetry_lock();
         let f = write_temp("rsti_cli_prof.mc", PROG);
         let (code, out) = run_cli(&["profile".into(), f, "--mech".into(), "stwc".into()]);
         assert_eq!(code, 0, "{out}");
@@ -1467,6 +1482,7 @@ mod tests {
 
     #[test]
     fn profile_attr_renders_tables_and_exports() {
+        let _telemetry = telemetry_lock();
         let f = write_temp("rsti_cli_attr.mc", PROG);
         let flame = std::env::temp_dir().join("rsti_cli_attr.folded");
         let chrome = std::env::temp_dir().join("rsti_cli_attr_trace.json");
@@ -1660,6 +1676,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_with_recorder_is_clean() {
+        let _telemetry = telemetry_lock();
         // Recorder inertness under the differential oracle: verdicts stay
         // unchanged and interp ≡ compiled incidents on every seed.
         let (code, out) =
@@ -1681,6 +1698,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_with_profiler_is_clean() {
+        let _telemetry = telemetry_lock();
         // Satellite guarantee: the attribution profiler never changes an
         // oracle verdict — a profiled campaign stays green.
         let (code, out) =
@@ -1692,6 +1710,7 @@ mod tests {
 
     #[test]
     fn run_trace_emits_valid_jsonl_and_snapshot() {
+        let _telemetry = telemetry_lock();
         let f = write_temp("rsti_cli_trace.mc", PROG);
         let trace = std::env::temp_dir().join("rsti_cli_trace.jsonl");
         let trace_s = trace.to_string_lossy().into_owned();

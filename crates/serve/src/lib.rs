@@ -29,11 +29,11 @@
 //!   both are byte-identical to what a one-shot `rsti run` of the same
 //!   configuration would compute (property-tested below).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use rsti_telemetry::{global as tel, CounterId, Histogram};
@@ -212,6 +212,9 @@ pub struct Server {
     cache: ModuleCache,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
+    /// Suite-proxy sources by lower-cased name, built on the first
+    /// `"workload"` request instead of on every one.
+    workloads: OnceLock<HashMap<String, String>>,
 }
 
 impl Server {
@@ -222,6 +225,7 @@ impl Server {
             cfg,
             metrics: ServeMetrics::default(),
             shutdown: AtomicBool::new(false),
+            workloads: OnceLock::new(),
         }
     }
 
@@ -320,11 +324,18 @@ impl Server {
         let src: std::borrow::Cow<'_, str> = match (&req.source, &req.workload) {
             (Some(s), _) => std::borrow::Cow::Borrowed(s.as_str()),
             (None, Some(w)) => {
-                let wl = rsti_workloads::all_workloads()
-                    .into_iter()
-                    .find(|x| x.name.eq_ignore_ascii_case(w))
+                let by_name = self.workloads.get_or_init(|| {
+                    let mut m = HashMap::new();
+                    for wl in rsti_workloads::all_workloads() {
+                        // First match wins, as a case-insensitive scan would.
+                        m.entry(wl.name.to_ascii_lowercase()).or_insert(wl.source);
+                    }
+                    m
+                });
+                let src = by_name
+                    .get(&w.to_ascii_lowercase())
                     .ok_or_else(|| format!("unknown workload {w:?}"))?;
-                std::borrow::Cow::Owned(wl.source)
+                std::borrow::Cow::Borrowed(src.as_str())
             }
             (None, None) => return Err("request needs \"source\" or \"workload\"".into()),
         };
@@ -796,6 +807,11 @@ mod tests {
         assert!(resp.contains("\"instr\":{"), "compile must report instrumentation stats: {resp}");
         let resp = server.handle_line("{\"id\":2,\"cmd\":\"run\",\"workload\":\"no such bench\"}");
         assert!(resp.contains("\"ok\":false") && resp.contains("unknown workload"), "{resp}");
+        // The exact error text is part of the protocol.
+        assert!(
+            resp.contains(r#""error":"unknown workload \"no such bench\"""#),
+            "unknown-workload error text changed: {resp}"
+        );
         let stats = server.handle_line("{\"id\":3,\"cmd\":\"stats\"}");
         assert!(stats.contains("\"requests\":3"), "{stats}");
         assert!(stats.contains("\"misses\":1"), "{stats}");
