@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod equivalence;
+mod fxhash;
 pub mod ipo;
 pub mod optimize;
 pub mod replay;

@@ -14,6 +14,7 @@
 //! `pp_add` / `pp_sign` / `pp_add_tbi`, and the loads of the receiving
 //! parameters in `pp_auth`.
 
+use crate::fxhash::FxHashMap;
 use crate::sti::StiAnalysis;
 use crate::storage::{operand_type, root_of_value, DefMap};
 use rsti_ir::{FuncId, Inst, Module, Type, TypeId, VarId};
@@ -74,15 +75,20 @@ fn ptr_depth(m: &Module, ty: TypeId) -> u32 {
 /// need the CE/FE indirection; everything else is statically resolvable
 /// from the IR (§4.7.7 "Usage").
 pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
+    plan_pp_with(m, analysis, &DefMap::per_function(m))
+}
+
+/// [`plan_pp`] over def maps the caller already built.
+pub(crate) fn plan_pp_with(m: &Module, analysis: &StiAnalysis, defs: &[DefMap<'_>]) -> PpPlan {
     let mut plan = PpPlan::default();
     let mut next_ce: u8 = 1;
-    let mut ce_of_ty: HashMap<TypeId, u8> = HashMap::new();
+    let mut ce_of_ty: FxHashMap<TypeId, u8> = FxHashMap::default();
 
     for (fid, f) in m.funcs() {
         if f.is_external {
             continue;
         }
-        let defs = DefMap::new(f);
+        let defs = &defs[fid.0 as usize];
         for node in f.insts() {
             match &node.inst {
                 Inst::Load { ty, .. } if ptr_depth(m, *ty) >= 2 => {
@@ -92,7 +98,7 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
                     let callee_f = m.func(*callee);
                     for (i, a) in args.iter().enumerate() {
                         let aty = operand_type(m, f, a);
-                        let root = root_of_value(m, f, &defs, a);
+                        let root = root_of_value(m, f, defs, a);
                         let orig_ty = root.root_ty.unwrap_or(aty);
                         if ptr_depth(m, aty).max(ptr_depth(m, orig_ty)) < 2 {
                             continue;
