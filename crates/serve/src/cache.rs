@@ -91,10 +91,15 @@ impl ModuleCache {
     /// race to build the same key, the later insert wins — both images
     /// are equivalent (the build is a pure function of the key), so the
     /// only cost is the duplicated build work.
+    ///
+    /// Evicted and replaced entries are dropped after the lock is
+    /// released: the last `Arc` of an image frees its module and compiled
+    /// closures, which no other worker should wait on.
     pub fn insert(&self, entry: Arc<CacheEntry>) -> u64 {
         let now = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut dropped: Vec<Slot> = Vec::with_capacity(2);
         let mut map = self.guard();
-        map.insert(entry.key, Slot { entry, last_used: now });
+        dropped.extend(map.insert(entry.key, Slot { entry, last_used: now }));
         let mut evicted = 0;
         while map.len() > self.cap {
             // Oldest `last_used` first; ties (impossible with the atomic
@@ -107,12 +112,14 @@ impl ModuleCache {
                 .map(|(_, k)| k);
             match victim {
                 Some(k) => {
-                    map.remove(&k);
+                    dropped.extend(map.remove(&k));
                     evicted += 1;
                 }
                 None => break,
             }
         }
+        drop(map);
+        drop(dropped);
         evicted
     }
 }
