@@ -301,37 +301,64 @@ impl Inst {
         )
     }
 
-    /// Operands read by this instruction (used by the verifier).
+    /// Operands read by this instruction, in [`Inst::for_each_operand`]
+    /// order.
     pub fn operands(&self) -> Vec<&Operand> {
+        let mut ops = Vec::new();
+        self.for_each_operand(|o| ops.push(o));
+        ops
+    }
+
+    /// Calls `visit` on every operand this instruction reads, a PAC
+    /// instruction's `loc` included, without allocating. This is the one
+    /// place that lists which fields of each instruction are operands.
+    pub fn for_each_operand<'a>(&'a self, mut visit: impl FnMut(&'a Operand)) {
         match self {
-            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => vec![],
-            Inst::Load { ptr, .. } => vec![ptr],
-            Inst::Store { value, ptr } => vec![value, ptr],
-            Inst::FieldAddr { base, .. } => vec![base],
-            Inst::IndexAddr { base, index, .. } => vec![base, index],
-            Inst::BitCast { value, .. } | Inst::Convert { value, .. } => vec![value],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            Inst::Call { args, .. } => args.iter().collect(),
+            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => {}
+            Inst::Load { ptr, .. } | Inst::Free { ptr } => visit(ptr),
+            Inst::Store { value, ptr } => {
+                visit(value);
+                visit(ptr);
+            }
+            Inst::FieldAddr { base, .. } => visit(base),
+            Inst::IndexAddr { base, index, .. } => {
+                visit(base);
+                visit(index);
+            }
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                visit(lhs);
+                visit(rhs);
+            }
+            Inst::Call { args, .. } => args.iter().for_each(visit),
             Inst::CallIndirect { callee, args, .. } => {
-                let mut v = vec![callee];
-                v.extend(args.iter());
-                v
+                visit(callee);
+                args.iter().for_each(visit);
             }
-            Inst::Malloc { size, .. } => vec![size],
-            Inst::Free { ptr } => vec![ptr],
-            Inst::PrintInt { value } => vec![value],
+            Inst::Malloc { size, .. } => visit(size),
             Inst::PacSign { value, loc, .. } | Inst::PacAuth { value, loc, .. } => {
-                let mut v = vec![value];
+                visit(value);
                 if let Some(l) = loc {
-                    v.push(l);
+                    visit(l);
                 }
-                v
             }
-            Inst::PacStrip { value, .. }
+            Inst::BitCast { value, .. }
+            | Inst::Convert { value, .. }
+            | Inst::PrintInt { value }
+            | Inst::PacStrip { value, .. }
             | Inst::PpSign { value, .. }
             | Inst::PpAddTbi { value, .. }
-            | Inst::PpAuth { value, .. } => vec![value],
+            | Inst::PpAuth { value, .. } => visit(value),
         }
+    }
+
+    /// Calls `visit` on every value (register) operand, in
+    /// [`Inst::for_each_operand`] order.
+    pub fn for_each_value(&self, mut visit: impl FnMut(ValueId)) {
+        self.for_each_operand(|o| {
+            if let Operand::Value(v) = o {
+                visit(*v);
+            }
+        });
     }
 }
 
